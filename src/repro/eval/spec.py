@@ -83,8 +83,8 @@ class Param:
         parse to it.
     flag:
         Long CLI option derived for this parameter (defaults to
-        ``--<name-with-dashes>``).  Legacy subcommand aliases use this to keep
-        their historical spellings (e.g. ``--training`` for ``n_training``).
+        ``--<name-with-dashes>``).  ``bench`` uses this to keep the
+        throughput spec's historical spellings (e.g. ``--length``).
     """
 
     name: str
@@ -226,8 +226,7 @@ class ParamSchema:
             overrides[param.name] = param.parse(text)
         return overrides
 
-    def add_cli_arguments(self, parser: argparse.ArgumentParser, *,
-                          skip: Sequence[str] = ()) -> None:
+    def add_cli_arguments(self, parser: argparse.ArgumentParser) -> None:
         """Derive one long option per parameter on ``parser``.
 
         Options default to ``argparse.SUPPRESS`` so that
@@ -248,8 +247,6 @@ class ParamSchema:
             return convert
 
         for param in self.params:
-            if param.name in skip:
-                continue
             kwargs: Dict[str, object] = {
                 "dest": param.name,
                 "default": argparse.SUPPRESS,

@@ -17,10 +17,12 @@ detector shards.
 * :class:`~repro.service.batcher.MicroBatcher` — per-shard FIFO queues that
   coalesce arrivals into ``process_batch``-sized chunks under a
   max-batch-size / max-delay policy, with bounded-queue backpressure.
-* :class:`~repro.service.worker.ShardWorker` /
-  :class:`~repro.service.worker.ProcessShardWorker` — the worker pool driving
-  the vectorized engine (threads by default, one OS process per shard
-  optionally), reporting per-shard throughput and latency percentiles.
+* :class:`~repro.service.worker.ShardCore` — one shard's scoring pass
+  (shedding, the learn-aware ``process_batch`` offset loop, crash
+  injection), run by one of two transports:
+  :class:`~repro.service.worker.ShardWorker` (a thread, the default) or
+  :class:`~repro.service.worker.ProcessShardWorker` (one OS process per
+  shard).
 * :class:`~repro.service.checkpoint.CheckpointManager` — periodic full-state
   snapshots of every shard; a whole service can be restored and resumed
   decision-identically.
@@ -67,6 +69,7 @@ from .supervisor import ShardSupervisor
 from .worker import (
     DEADLINE_POLICIES,
     ProcessShardWorker,
+    ShardCore,
     ShardStats,
     ShardWorker,
 )
@@ -94,6 +97,7 @@ __all__ = [
     "SERVICE_MANIFEST_VERSION",
     "ServiceConfig",
     "ServiceResult",
+    "ShardCore",
     "ShardRouter",
     "ShardStats",
     "ShardSupervisor",

@@ -43,7 +43,14 @@ from ..core.exceptions import ConfigurationError, SPOTError
 
 
 class InjectedFault(SPOTError):
-    """An error raised on purpose by the fault-injection harness."""
+    """An error raised on purpose by the fault-injection harness.
+
+    ``items`` holds the points an injected worker crash left undelivered.
+    """
+
+    def __init__(self, message: str = "", items: Sequence = ()) -> None:
+        super().__init__(message)
+        self.items = list(items)
 
 
 class TransientIPCError(SPOTError):

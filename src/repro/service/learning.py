@@ -8,8 +8,8 @@ growth, periodic relearn) instead of searching inline; the coordinator
 * **coalesces** the requests of one apply point — they share a reservoir
   snapshot version — into a single evaluation task,
 * **shares** one :class:`~repro.moga.batch_objectives.SharedBatchContext`
-  (quantised batch, marginals, objective memo) per snapshot, so every search
-  over the same reservoir skips the per-search batch preparation and reuses
+  (quantised batch, marginals, objective memo) per request group, so every
+  search of the group skips the per-search batch preparation and reuses
   memoised objective vectors,
 * **evaluates** on a configurable worker pool — threads by default (NumPy
   releases the GIL inside the fused objective passes), one-task-per-process
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -52,9 +51,6 @@ class LearningServiceConfig:
 
     workers: int = 2
     worker_mode: str = "thread"
-    #: Shared snapshot contexts kept warm (LRU).  One per in-flight reservoir
-    #: version is plenty; a few extra absorb bursts from many shards.
-    context_cache_size: int = 8
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -64,8 +60,6 @@ class LearningServiceConfig:
             raise ConfigurationError(
                 f"worker_mode must be one of {LEARNING_WORKER_MODES}, "
                 f"got {self.worker_mode!r}")
-        if self.context_cache_size < 1:
-            raise ConfigurationError("context_cache_size must be positive")
 
 
 class LearnTicket:
@@ -79,7 +73,7 @@ class LearnTicket:
 
     def wait(self, timeout: Optional[float] = None) -> List[LearnPublication]:
         """Block until the group is evaluated; publications in request order."""
-        payload = self._future.result(timeout=timeout)
+        payload, _ = self._future.result(timeout=timeout)
         if self._from_dicts:
             return [LearnPublication.from_dict(entry) for entry in payload]
         return list(payload)
@@ -101,33 +95,57 @@ def _grid_from_payload(payload: dict) -> Grid:
                 cells_per_dimension=int(payload["cells_per_dimension"]))
 
 
-def _evaluate_group_remote(grid_payload: dict,
-                           request_payloads: List[dict]) -> List[dict]:
-    """Process-pool task: rebuild the group from plain data and evaluate it.
+#: Per-group evaluation counters, summed by :meth:`LearningCoordinator.stats`.
+_GROUP_COUNTERS = ("contexts_built", "context_reuses", "memo_hits",
+                  "memo_misses", "busy_seconds")
 
-    Requests of one group share a snapshot, so even without the coordinator's
-    cross-group context cache the group builds its shared context once.
+
+def _evaluate_group(grid: Grid, requests: Sequence
+                    ) -> Tuple[List[LearnPublication], Dict[str, float]]:
+    """Evaluate one request group; returns its publications and counters.
+
+    The requests of a group share one reservoir snapshot, so the group
+    builds one shared objective context and every vectorized search of the
+    group reuses it (and its objective memo).
     """
-    grid = _grid_from_payload(grid_payload)
-    requests = [request_from_dict(payload) for payload in request_payloads]
+    started = time.perf_counter()
     context: Optional[SharedBatchContext] = None
+    reuses = 0
     publications = []
     for request in requests:
         objectives = None
         if request.engine == "vectorized":
-            if context is None or context.version != request.snapshot.version:
+            if context is None:
                 context = SharedBatchContext(request.snapshot.points, grid,
                                              version=request.snapshot.version)
+            else:
+                reuses += 1
             objectives = BatchSparsityObjectives.from_context(
                 context, target_points=request.target_points,
                 memo=context.memo_view(request.target_key))
         publications.append(
             evaluate_learn_request(request, grid, objectives=objectives))
-    return [publication.to_dict() for publication in publications]
+    counts = {
+        "contexts_built": int(context is not None),
+        "context_reuses": reuses,
+        "memo_hits": context.memo.hits if context is not None else 0,
+        "memo_misses": context.memo.misses if context is not None else 0,
+        "busy_seconds": time.perf_counter() - started,
+    }
+    return publications, counts
+
+
+def _evaluate_group_remote(grid_payload: dict, request_payloads: List[dict]
+                           ) -> Tuple[List[dict], Dict[str, float]]:
+    """Process-pool task: :func:`_evaluate_group` over plain data."""
+    publications, counts = _evaluate_group(
+        _grid_from_payload(grid_payload),
+        [request_from_dict(payload) for payload in request_payloads])
+    return [publication.to_dict() for publication in publications], counts
 
 
 class LearningCoordinator:
-    """Evaluates learn requests on a worker pool, one context per snapshot."""
+    """Evaluates learn requests on a worker pool, one context per group."""
 
     def __init__(self, config: Optional[LearningServiceConfig] = None, *,
                  tracer=None) -> None:
@@ -135,21 +153,12 @@ class LearningCoordinator:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._executor = None
         self._lock = threading.Lock()
-        #: (shard_id, snapshot version) -> SharedBatchContext, LRU-bounded.
-        self._contexts: "OrderedDict[Tuple[int, int], SharedBatchContext]" = \
-            OrderedDict()
         self._started = False
         self._stopped = False
         self._requests = 0
         self._groups = 0
-        self._contexts_built = 0
-        self._context_reuses = 0
-        # Memo traffic of contexts already evicted from the LRU cache, so
-        # stats() reports lifetime totals rather than the surviving tail.
-        self._evicted_memo_hits = 0
-        self._evicted_memo_misses = 0
+        self._totals: Dict[str, float] = dict.fromkeys(_GROUP_COUNTERS, 0)
         self._kind_counts: Dict[str, int] = {}
-        self._busy_seconds = 0.0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -222,75 +231,35 @@ class LearningCoordinator:
             future = self._executor.submit(
                 _evaluate_group_remote, _grid_payload(grid),
                 [request.to_dict() for request in requests])
-            return LearnTicket([r.request_id for r in requests], future,
-                               from_dicts=True)
-        future = self._executor.submit(self._evaluate_group, shard_id, grid,
-                                       list(requests))
+            future.add_done_callback(self._account_remote)
+        else:
+            future = self._executor.submit(self._evaluate_local, shard_id,
+                                           grid, list(requests))
         return LearnTicket([r.request_id for r in requests], future,
-                           from_dicts=False)
+                           from_dicts=self.config.worker_mode == "process")
 
     # ------------------------------------------------------------------ #
-    # Evaluation (thread mode)
+    # Evaluation
     # ------------------------------------------------------------------ #
-    def _context_for(self, shard_id: int, grid: Grid,
-                     snapshot) -> SharedBatchContext:
-        key = (shard_id, snapshot.version)
-        with self._lock:
-            context = self._contexts.get(key)
-            if context is not None:
-                self._contexts.move_to_end(key)
-                self._context_reuses += 1
-                return context
-        # Built outside the lock (quantisation is the expensive part); a
-        # racing builder for the same key just wastes one build.
-        context = SharedBatchContext(snapshot.points, grid,
-                                     version=snapshot.version)
-        with self._lock:
-            self._contexts_built += 1
-            self._contexts[key] = context
-            while len(self._contexts) > self.config.context_cache_size:
-                _, evicted = self._contexts.popitem(last=False)
-                self._evicted_memo_hits += evicted.memo.hits
-                self._evicted_memo_misses += evicted.memo.misses
-        return context
-
-    def evict_shard(self, shard_id: int) -> int:
-        """Drop every cached snapshot context of one shard.
-
-        Called by the service when a shard is restarted after a crash: the
-        dead worker's reservoir snapshots are gone, so their contexts can
-        never be reused and would only squat in the LRU.  Returns how many
-        contexts were evicted.
-        """
-        with self._lock:
-            stale = [key for key in self._contexts if key[0] == shard_id]
-            for key in stale:
-                evicted = self._contexts.pop(key)
-                self._evicted_memo_hits += evicted.memo.hits
-                self._evicted_memo_misses += evicted.memo.misses
-        return len(stale)
-
-    def _evaluate_group(self, shard_id: int, grid: Grid,
-                        requests: List) -> List[LearnPublication]:
-        started = time.perf_counter()
-        publications = []
+    def _evaluate_local(self, shard_id: int, grid: Grid, requests: List
+                        ) -> Tuple[List[LearnPublication], Dict[str, float]]:
         with self.tracer.span("learning.evaluate", shard=shard_id,
                               request=requests[0].request_id,
                               n=len(requests)):
-            for request in requests:
-                objectives = None
-                if request.engine == "vectorized":
-                    context = self._context_for(shard_id, grid,
-                                                request.snapshot)
-                    objectives = BatchSparsityObjectives.from_context(
-                        context, target_points=request.target_points,
-                        memo=context.memo_view(request.target_key))
-                publications.append(
-                    evaluate_learn_request(request, grid,
-                                           objectives=objectives))
+            publications, counts = _evaluate_group(grid, requests)
+        # Counted before the ticket resolves, so stats() read right after a
+        # wait() already includes this group.
+        self._account(counts)
+        return publications, counts
+
+    def _account_remote(self, future: Future) -> None:
+        if not future.cancelled() and future.exception() is None:
+            self._account(future.result()[1])
+
+    def _account(self, counts: Dict[str, float]) -> None:
         with self._lock:
-            self._busy_seconds += time.perf_counter() - started
-        return publications
+            for name in _GROUP_COUNTERS:
+                self._totals[name] += counts[name]
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -298,20 +267,17 @@ class LearningCoordinator:
     def stats(self) -> Dict[str, object]:
         """Coordinator-side serving statistics."""
         with self._lock:
-            memo_hits = self._evicted_memo_hits + \
-                sum(c.memo.hits for c in self._contexts.values())
-            memo_misses = self._evicted_memo_misses + \
-                sum(c.memo.misses for c in self._contexts.values())
+            totals = self._totals
             return {
                 "workers": self.config.workers,
                 "worker_mode": self.config.worker_mode,
                 "requests": self._requests,
                 "request_groups": self._groups,
                 "coalesced_requests": self._requests - self._groups,
-                "contexts_built": self._contexts_built,
-                "context_reuses": self._context_reuses,
-                "memo_hits": memo_hits,
-                "memo_misses": memo_misses,
-                "busy_seconds": round(self._busy_seconds, 4),
+                "contexts_built": int(totals["contexts_built"]),
+                "context_reuses": int(totals["context_reuses"]),
+                "memo_hits": int(totals["memo_hits"]),
+                "memo_misses": int(totals["memo_misses"]),
+                "busy_seconds": round(totals["busy_seconds"], 4),
                 "kinds": dict(self._kind_counts),
             }

@@ -264,15 +264,13 @@ class FleetRebalancer:
         for shard_id in retired:
             worker = service._workers[shard_id]
             worker.shutdown(timeout=timeout)
-            failure = getattr(worker, "failure", None)
+            failure = worker.failure
             if failure is not None:
                 service._record_shard_error(
                     shard_id, f"failed while retiring: "
                     f"{type(failure).__name__}: {failure}")
             if service._supervisor is not None:
                 service._supervisor.drop_shard(shard_id)
-            if service._coordinator is not None:
-                service._coordinator.evict_shard(shard_id)
         with service._lock:
             # The ShardStats counters stay registered in the metrics
             # registry, so fleet totals (stats()["points"], robustness)

@@ -183,17 +183,10 @@ class ServiceConfig:
                 "slo must be an SLOObjectives instance or None")
 
     def learning_config(self) -> LearningServiceConfig:
-        """The coordinator configuration this service config implies.
-
-        The snapshot-context cache is keyed per shard, so it scales with the
-        fleet: every shard can keep its current reservoir's context warm
-        (plus slack for in-flight version turnover) regardless of shard
-        count.
-        """
+        """The coordinator configuration this service config implies."""
         return LearningServiceConfig(
             workers=self.learning_workers,
-            worker_mode=self.learning_worker_mode,
-            context_cache_size=max(8, self.n_shards + 2))
+            worker_mode=self.learning_worker_mode)
 
 
 @dataclass(frozen=True)
@@ -427,8 +420,7 @@ class DetectionService:
                                   deadline_policy=self.config.deadline_policy,
                                   quarantine_on_failure=not self.config.supervise,
                                   on_ipc_retry=self._note_ipc_retry,
-                                  tracer=self._tracer,
-                                  recorder=self._recorder)
+                                  tracer=self._tracer)
 
     def stop(self, timeout: Optional[float] = 60.0) -> None:
         """Drain every queue, stop every worker, surface any failure."""
@@ -444,7 +436,7 @@ class DetectionService:
         for shard_id, worker in enumerate(self._workers):
             # A failure in the shutdown path (e.g. resolving a final learn
             # publication) never went through on_results; surface it here.
-            failure = getattr(worker, "failure", None)
+            failure = worker.failure
             if failure is not None and not any(
                     error.startswith(f"shard {shard_id}:")
                     for error in self._errors):
@@ -675,10 +667,6 @@ class DetectionService:
 
     def _install_replacement(self, shard_id: int, detector: SPOT) -> None:
         """Swap a recovered detector + fresh worker into the registry."""
-        if self._coordinator is not None:
-            # The dead worker's snapshot contexts are stale; drop them so
-            # the restarted shard's searches build from its own snapshots.
-            self._coordinator.evict_shard(shard_id)
         batcher = self._batchers[shard_id]
         detector.bind_obs(tracer=self._tracer, recorder=self._recorder,
                           registry=self.metrics)

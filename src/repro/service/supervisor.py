@@ -221,20 +221,16 @@ class ShardSupervisor:
         old_worker = service._workers[shard_id]
         # The failed worker retires: it stops consuming (requeueing any batch
         # it already popped) and leaves the backlog to its replacement.
-        old_worker.retire()
-        if hasattr(old_worker, "join"):
-            old_worker.join(timeout=30.0)
-        if hasattr(old_worker, "drain_pending"):
-            # Process flavour: the feeder may have shipped one more batch
-            # after the collector gave up on the child — sweep those
-            # undelivered points into this recovery.  Per-shard traffic is
-            # seq-ordered, so merging by seq restores arrival order.
-            swept = old_worker.drain_pending()
-            if swept:
-                by_seq = {item.seq: item for item in failed_items}
-                by_seq.update((item.seq, item) for item in swept)
-                failed_items = sorted(by_seq.values(),
-                                      key=lambda item: item.seq)
+        old_worker.retire(timeout=30.0)
+        # A process shard's feeder may have shipped one more batch after the
+        # collector gave up on the child — sweep those undelivered points
+        # into this recovery.  Per-shard traffic is seq-ordered, so merging
+        # by seq restores arrival order.
+        swept = old_worker.drain_pending()
+        if swept:
+            by_seq = {item.seq: item for item in failed_items}
+            by_seq.update((item.seq, item) for item in swept)
+            failed_items = sorted(by_seq.values(), key=lambda item: item.seq)
         with self._state_lock:
             restarts = self._restarts.get(shard_id, 0)
             if restarts >= self.max_restarts_per_shard:

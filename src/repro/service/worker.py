@@ -1,25 +1,40 @@
-"""Shard workers: drive one detector shard off its micro-batch queue.
+"""Shard workers: one scoring core behind two transports.
 
-Two interchangeable flavours:
+Every shard runs SPOT's single pass over its micro-batches, and that pass is
+written once, in :class:`ShardCore`: the injected stall, deadline shedding,
+the torn-batch crash, the offset loop (apply due learn publications, score up
+to the detector's next apply point, deliver that chunk, dispatch the learn
+requests it emitted), the zero-progress guard and the final learn resolution
+at graceful stop.  The core reaches the outside world through two seams:
+
+* ``emit(items, results, busy, error, shed=False)`` delivers a chunk, with
+  ``results`` a list of :class:`~repro.core.results.DetectionResult`
+  aligned with ``items`` (or ``None`` when ``error`` is set, or when
+  ``shed=True`` marks points dropped past their detection deadline);
+* a learn port with ``submit(grid, requests) -> handle`` and
+  ``wait(handle) -> publications``; without one, pending learns resolve
+  inline.
+
+Two transports feed it:
 
 * :class:`ShardWorker` — a daemon thread owning its detector in-process.
   The default: zero serialisation cost, shared memory, and (because NumPy
-  releases the GIL inside large array ops) some overlap between shards.
-* :class:`ProcessShardWorker` — one OS process per shard, fed through
-  multiprocessing queues.  The detector is shipped to the child as a
-  full-state checkpoint payload and re-materialised there, so the flavour is
-  exactly as resumable as the thread one.  Worth it on multi-core hosts
-  where the GIL would otherwise serialise the shards.
+  releases the GIL inside large array ops) some overlap between shards.  It
+  emits into the service's callback and learns through the shared
+  :class:`~repro.service.learning.LearningCoordinator`.
+* :class:`ProcessShardWorker` — one OS process per shard.  The detector is
+  shipped to the child as a full-state checkpoint payload and the core runs
+  there; it emits over the outbox and learns by shipping request groups to
+  the parent, which evaluates them on the coordinator and answers through
+  the inbox.  Worth it on multi-core hosts where the GIL would otherwise
+  serialise the shards.
 
-Both expose the same surface to the service: ``start()``, ``shutdown()``,
+Both expose the same surface to the service and its supervisor:
+``start()``, ``shutdown()``, ``retire()``, ``drain_pending()``,
 ``export_state()`` and a ``failure`` attribute, and both deliver every
-processed batch through the service's ``on_results`` callback:
+processed chunk through the service's callback:
 
     on_results(shard_id, items, results, busy_seconds, error, shed=False)
-
-with ``results`` a list of :class:`~repro.core.results.DetectionResult`
-aligned with ``items`` (or ``None`` when ``error`` is set, or when
-``shed=True`` marks points dropped past their detection deadline).
 
 Failure semantics are a policy of the owner: standalone (the historical
 default, ``quarantine_on_failure=True``) a failed shard rejects every later
@@ -33,12 +48,16 @@ checkpoint.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
+from collections import deque
+from functools import partial
 from typing import Callable, List, Optional
 
 from ..core.detector import SPOT
 from ..core.exceptions import ConfigurationError
+from ..learning.requests import LearnPublication, request_from_dict
 from ..metrics.throughput import LatencySeries
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import NULL_RECORDER
@@ -52,13 +71,15 @@ from .faults import (
     TransientIPCError,
     call_with_retry,
 )
-from ..learning.requests import request_from_dict
-from .learning import LearningCoordinator, LearnTicket
+from .learning import LearningCoordinator, _grid_from_payload, _grid_payload
 
 ResultsCallback = Callable[..., None]
 
 DEADLINE_POLICIES = ("shed", "degrade")
 
+#: Upper bound on one publication wait; a search that exceeds it turns into
+#: a shard failure instead of a silent hang.
+LEARN_TIMEOUT = 600.0
 
 #: Counter names a ShardStats registers, in reporting order.  The
 #: robustness block of :meth:`DetectionService.stats` is built from the
@@ -161,104 +182,37 @@ class ShardStats:
         }
 
 
-class ShardWorker(threading.Thread):
-    """Thread flavour: one daemon thread per shard, detector in-process.
+class ShardCore:
+    """One shard's scoring pass, independent of how its batches arrive.
 
-    With a ``learning`` coordinator attached (deferred-learning mode) the
-    worker drives the incremental loop: score a batch until the detector
-    stops at an apply point, deliver the scored prefix immediately, hand the
-    emitted learn requests to the coordinator, and block for the
-    publications only when more points actually need them — the wait happens
-    *between* ``process_batch`` calls, off the detection path, and overlaps
-    with other shards' detection and searches.  Without a coordinator any
-    pending requests (e.g. restored from a mid-flight checkpoint) are
-    resolved inline.
+    A transport hands every popped batch to :meth:`run_batch` and calls
+    :meth:`finish` at graceful stop.  A learning, scoring or progress
+    failure is recorded in :attr:`failure` and delivered as an error for the
+    points not yet delivered.  An injected crash commits its torn prefix and
+    raises :class:`~repro.service.faults.InjectedFault` (carrying the
+    undelivered points) for the transport to turn into its own kind of
+    death.
     """
 
-    #: Upper bound on one publication wait; a search that exceeds it turns
-    #: into a shard failure instead of a silent hang.
-    LEARN_TIMEOUT = 600.0
-
-    def __init__(self, shard_id: int, detector: SPOT, batcher: MicroBatcher,
-                 on_results: ResultsCallback,
-                 learning: Optional[LearningCoordinator] = None, *,
-                 faults: Optional[FaultInjector] = None,
+    def __init__(self, shard_id: int, detector: SPOT, emit: ResultsCallback,
+                 learn=None, *, faults: Optional[FaultInjector] = None,
                  deadline: float = 0.0, deadline_policy: str = "shed",
-                 quarantine_on_failure: bool = True,
                  tracer=None, recorder=None) -> None:
-        super().__init__(name=f"spot-shard-{shard_id}", daemon=True)
-        if deadline_policy not in DEADLINE_POLICIES:
-            raise ConfigurationError(
-                f"deadline_policy must be one of {DEADLINE_POLICIES}, "
-                f"got {deadline_policy!r}")
         self.shard_id = shard_id
         self.detector = detector
-        self.batcher = batcher
-        self.on_results = on_results
-        self.learning = learning
+        self.emit = emit
+        self.learn = learn
         self.faults = faults
+        self.deadline = deadline
+        self.shed_late = deadline > 0.0 and deadline_policy == "shed"
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.deadline = deadline
-        self.deadline_policy = deadline_policy
-        self.quarantine_on_failure = quarantine_on_failure
         self.failure: Optional[BaseException] = None
-        self._retired = threading.Event()
-        self._tickets: dict = {}
+        #: request id -> handle of the learn group it was submitted in.
+        self._handles: dict = {}
 
-    def retire(self) -> None:
-        """Stop consuming without closing the queue (supervised recovery)."""
-        self._retired.set()
-        self.batcher.interrupt()
-
-    def run(self) -> None:
-        while True:
-            batch = self.batcher.next_batch(stop=self._retired)
-            if batch is None:
-                if self._retired.is_set():
-                    return  # retired mid-failure; the supervisor takes over
-                # Graceful shutdown: apply any still-outstanding publication
-                # so the stopped fleet holds the same SSTs an uninterrupted
-                # synchronous run would (the apply point of a request emitted
-                # by the final point lies beyond the stream's end).
-                if self.failure is None:
-                    try:
-                        self._resolve_pending_learns()
-                    except Exception as exc:
-                        self.failure = exc
-                return
-            if self.failure is not None:
-                if not self.quarantine_on_failure:
-                    # Retiring: hand the popped batch back for the successor.
-                    self.batcher.requeue(batch)
-                    return
-                # Quarantine: a failed process_batch may have committed a
-                # prefix of its chunk, so the detector's summaries are not
-                # trustworthy anymore.  Later batches are rejected instead of
-                # being scored against a possibly half-updated store.
-                self.on_results(self.shard_id, batch, None, 0.0,
-                                f"shard quarantined after earlier failure: "
-                                f"{type(self.failure).__name__}: {self.failure}")
-                continue
-            self._run_batch(batch)
-            if self.failure is not None and not self.quarantine_on_failure:
-                return  # leave remaining queue traffic to the replacement
-
-    def _shed_overdue(self, batch: List[BatchItem]) -> List[BatchItem]:
-        """Drop points past their deadline; returns the still-live ones."""
-        if self.deadline <= 0.0 or self.deadline_policy != "shed":
-            return batch
-        now = time.monotonic()
-        live = [item for item in batch
-                if now - item.enqueued_at <= self.deadline]
-        if len(live) < len(batch):
-            overdue = [item for item in batch
-                       if now - item.enqueued_at > self.deadline]
-            self.on_results(self.shard_id, overdue, None, 0.0, None,
-                            shed=True)
-        return live
-
-    def _run_batch(self, batch: List[BatchItem]) -> None:
+    def run_batch(self, batch: List[BatchItem]) -> None:
+        """Score one popped batch, delivering it chunk by chunk."""
         if self.faults is not None:
             stall = self.faults.stall_seconds([item.seq for item in batch])
             if stall > 0.0:
@@ -277,43 +231,37 @@ class ShardWorker(threading.Thread):
                         [item.values for item in batch[:consume]])
                 except Exception:
                     pass  # the crash below is the failure under test
-                exc = InjectedFault(
-                    f"injected worker crash at shard {self.shard_id}")
-                self.failure = exc
-                self.on_results(self.shard_id, batch, None, 0.0,
-                                f"{type(exc).__name__}: {exc}")
-                return
+                self.failure = InjectedFault(
+                    f"injected worker crash at shard {self.shard_id}",
+                    items=batch)
+                raise self.failure
         offset = 0
         with self.tracer.span("shard.batch", shard=self.shard_id,
                               seq_first=batch[0].seq, seq_last=batch[-1].seq,
                               n=len(batch)) as batch_span:
             while offset < len(batch):
+                rest = batch[offset:]
                 try:
                     # Apply every publication due before the next point;
                     # waits (if any) burn queue time, not detection-path
                     # time.
                     self._resolve_pending_learns()
                 except Exception as exc:
-                    self.failure = exc
-                    self.on_results(self.shard_id, batch[offset:], None, 0.0,
-                                    f"{type(exc).__name__}: {exc}")
+                    self._fail(exc, rest, 0.0)
                     return
                 started = time.perf_counter()
+                error = None
                 with self.tracer.span("shard.score", parent=batch_span,
                                       shard=self.shard_id,
-                                      seq_first=batch[offset].seq) as score:
+                                      seq_first=rest[0].seq) as score:
                     try:
                         results = self.detector.process_batch(
-                            [item.values for item in batch[offset:]])
-                        error = None
+                            [item.values for item in rest])
                     except Exception as exc:  # surfaced via drain()/stop()
-                        self.failure = exc
-                        results = None
-                        error = f"{type(exc).__name__}: {exc}"
+                        error = exc
                 busy = time.perf_counter() - started
                 if error is not None:
-                    self.on_results(self.shard_id, batch[offset:], None,
-                                    busy, error)
+                    self._fail(error, rest, busy)
                     return
                 consumed = len(results)
                 score.annotate(scored=consumed)
@@ -322,47 +270,79 @@ class ShardWorker(threading.Thread):
                     # always *after* the triggering point); zero progress
                     # means the contract broke and looping again would hang
                     # the shard.
-                    self.failure = ConfigurationError(
-                        "detector made no progress on a non-empty batch")
-                    self.on_results(self.shard_id, batch[offset:], None,
-                                    busy, str(self.failure))
+                    self._fail(ConfigurationError(
+                        "detector made no progress on a non-empty batch"),
+                        rest, busy)
                     return
-                self.on_results(self.shard_id,
-                                batch[offset:offset + consumed],
-                                results, busy, None)
+                self.emit(rest[:consumed], results, busy, None)
                 offset += consumed
                 # Ship new learn requests right away: the searches run on
                 # the coordinator pool while this shard waits for its next
                 # batch.
                 self._dispatch_new_learns()
 
+    def finish(self) -> Optional[BaseException]:
+        """Graceful stop: apply every still-outstanding publication.
+
+        The stopped fleet then holds the same SSTs an uninterrupted
+        synchronous run would (the apply point of a request emitted by the
+        final point lies beyond the stream's end).  Returns the exception
+        when this final resolution fails (it is also recorded in
+        :attr:`failure`).
+        """
+        if self.failure is not None:
+            return None
+        try:
+            self._resolve_pending_learns()
+        except Exception as exc:
+            self.failure = exc
+            return exc
+        return None
+
+    def _fail(self, exc: BaseException, items: List[BatchItem],
+              busy: float) -> None:
+        self.failure = exc
+        self.emit(items, None, busy, f"{type(exc).__name__}: {exc}")
+
+    def _shed_overdue(self, batch: List[BatchItem]) -> List[BatchItem]:
+        """Drop points past their deadline; returns the still-live ones."""
+        if not self.shed_late:
+            return batch
+        now = time.monotonic()
+        live = [item for item in batch
+                if now - item.enqueued_at <= self.deadline]
+        if len(live) < len(batch):
+            overdue = [item for item in batch
+                       if now - item.enqueued_at > self.deadline]
+            self.emit(overdue, None, 0.0, None, shed=True)
+        return live
+
     # ------------------------------------------------------------------ #
     # Deferred learning plumbing
     # ------------------------------------------------------------------ #
     def _dispatch_new_learns(self) -> None:
-        if self.learning is None:
+        if self.learn is None:
             return
-        pending = self.detector.pending_learn_requests
-        new = [request for request in pending
-               if request.request_id not in self._tickets]
+        new = [request for request in self.detector.pending_learn_requests
+               if request.request_id not in self._handles]
         if not new:
             return
-        ticket = self.learning.submit(self.shard_id, self.detector.grid, new)
+        handle = self.learn.submit(self.detector.grid, new)
         if self.tracer.enabled:
             for request in new:
                 self.tracer.event("learning.submit", shard=self.shard_id,
                                   request=request.request_id,
                                   kind=request.kind)
         for request in new:
-            self._tickets[request.request_id] = ticket
+            self._handles[request.request_id] = handle
 
     def _resolve_pending_learns(self) -> None:
         while True:
             pending = self.detector.pending_learn_requests
             if not pending:
                 return
-            if self.learning is None:
-                # No coordinator (synchronous service, or a restored shard
+            if self.learn is None:
+                # No learn port (synchronous service, or a restored shard
                 # before one is attached): replay the searches inline.
                 resolved = self.detector.resolve_pending_learns()
                 if resolved and self.recorder.enabled:
@@ -370,14 +350,12 @@ class ShardWorker(threading.Thread):
                                                shard=self.shard_id,
                                                inline=resolved)
                 return
-            ticket: Optional[LearnTicket] = \
-                self._tickets.get(pending[0].request_id)
-            if ticket is None:
+            if pending[0].request_id not in self._handles:
                 self._dispatch_new_learns()
-                ticket = self._tickets[pending[0].request_id]
+            handle = self._handles[pending[0].request_id]
             with self.tracer.span("learning.wait", shard=self.shard_id,
                                   request=pending[0].request_id):
-                publications = ticket.wait(timeout=self.LEARN_TIMEOUT)
+                publications = self.learn.wait(handle)
             for publication in publications:
                 self.detector.apply_learn_publication(publication)
                 if self.tracer.enabled:
@@ -387,8 +365,167 @@ class ShardWorker(threading.Thread):
                     self.recorder.record_event(
                         "learn.apply", shard=self.shard_id,
                         request=publication.request_id)
-            for request_id in ticket.request_ids:
-                self._tickets.pop(request_id, None)
+            self._handles = {request_id: other for request_id, other
+                             in self._handles.items() if other != handle}
+
+
+class _CoordinatorPort:
+    """The thread transport's learn port: the shared coordinator."""
+
+    def __init__(self, coordinator: LearningCoordinator,
+                 shard_id: int) -> None:
+        self.coordinator = coordinator
+        self.shard_id = shard_id
+
+    def submit(self, grid, requests):
+        return self.coordinator.submit(self.shard_id, grid, requests)
+
+    def wait(self, ticket) -> List[LearnPublication]:
+        return ticket.wait(timeout=LEARN_TIMEOUT)
+
+
+class _InboxPort:
+    """The process child's learn port, over the IPC queues.
+
+    A request group goes to the parent as ``("learn", gid, grid,
+    requests)`` (everything JSON round-trippable); its publications come
+    back on the inbox as ``("publications", gid, payloads)``, with ``None``
+    for a failed evaluation.  Publications that arrive early are banked by
+    group id; other commands that arrive while the core waits are kept, in
+    order, for :meth:`next_command`.
+    """
+
+    def __init__(self, inbox, outbox) -> None:
+        self.inbox = inbox
+        self.outbox = outbox
+        self._backlog: deque = deque()
+        self._received: dict = {}
+        self._next_gid = 0
+
+    def submit(self, grid, requests) -> int:
+        gid = self._next_gid
+        self._next_gid += 1
+        self.outbox.put(("learn", gid, _grid_payload(grid),
+                         [request.to_dict() for request in requests]))
+        return gid
+
+    def wait(self, gid: int) -> List[LearnPublication]:
+        while gid not in self._received:
+            # Only publications unblock the detector; any other command the
+            # parent pipelined behind them waits in the backlog.
+            message = self.inbox.get(timeout=LEARN_TIMEOUT)
+            if message[0] == "publications":
+                self._received[message[1]] = message[2]
+            else:
+                self._backlog.append(message)
+        payloads = self._received.pop(gid)
+        if payloads is None:
+            raise ConfigurationError(
+                "the learning coordinator failed to evaluate a request group")
+        return [LearnPublication.from_dict(payload) for payload in payloads]
+
+    def next_command(self) -> tuple:
+        """The next command to serve; publications are banked on the way."""
+        while True:
+            command = self._backlog.popleft() if self._backlog \
+                else self.inbox.get()
+            if command[0] != "publications":
+                return command
+            self._received[command[1]] = command[2]
+
+
+class _ShardTransport:
+    """What both transports do around the core with a popped batch."""
+
+    shard_id: int
+    batcher: MicroBatcher
+    on_results: ResultsCallback
+    quarantine_on_failure: bool
+    failure: Optional[BaseException]
+    _retired: threading.Event
+
+    def _refused(self, batch: List[BatchItem]) -> bool:
+        """Whether a failed shard refuses ``batch`` instead of scoring it.
+
+        Retiring (supervised), it hands the batch back for the successor
+        and stops consuming.  Quarantined (standalone), it rejects the
+        batch: a failed ``process_batch`` may have committed a prefix of its
+        chunk, so the detector's summaries are not trustworthy anymore.
+        """
+        if self.failure is None:
+            return False
+        if self.quarantine_on_failure:
+            self.on_results(self.shard_id, batch, None, 0.0,
+                            f"shard quarantined after earlier failure: "
+                            f"{type(self.failure).__name__}: {self.failure}")
+        else:
+            self.batcher.requeue(batch)
+            self._retired.set()
+        return True
+
+    def drain_pending(self) -> List[BatchItem]:
+        """Points still in flight after :meth:`retire` (none by default)."""
+        return []
+
+
+class ShardWorker(_ShardTransport, threading.Thread):
+    """Thread transport: one daemon thread per shard, detector in-process.
+
+    With a ``learning`` coordinator attached (deferred-learning mode) the
+    core delivers each scored prefix immediately, hands the emitted learn
+    requests to the coordinator, and blocks for the publications only when
+    more points actually need them — the wait happens *between*
+    ``process_batch`` calls, off the detection path, and overlaps with other
+    shards' detection and searches.  Without a coordinator any pending
+    requests (e.g. restored from a mid-flight checkpoint) are resolved
+    inline.
+    """
+
+    def __init__(self, shard_id: int, detector: SPOT, batcher: MicroBatcher,
+                 on_results: ResultsCallback,
+                 learning: Optional[LearningCoordinator] = None, *,
+                 faults: Optional[FaultInjector] = None,
+                 deadline: float = 0.0, deadline_policy: str = "shed",
+                 quarantine_on_failure: bool = True,
+                 tracer=None, recorder=None) -> None:
+        super().__init__(name=f"spot-shard-{shard_id}", daemon=True)
+        self.shard_id = shard_id
+        self.detector = detector
+        self.batcher = batcher
+        self.on_results = on_results
+        self.quarantine_on_failure = quarantine_on_failure
+        self._retired = threading.Event()
+        port = _CoordinatorPort(learning, shard_id) \
+            if learning is not None else None
+        self.core = ShardCore(shard_id, detector, partial(on_results, shard_id),
+                              port, faults=faults, deadline=deadline,
+                              deadline_policy=deadline_policy, tracer=tracer,
+                              recorder=recorder)
+
+    @property
+    def failure(self) -> Optional[BaseException]:
+        return self.core.failure
+
+    def retire(self, timeout: Optional[float] = None) -> None:
+        """Stop consuming without closing the queue (supervised recovery)."""
+        self._retired.set()
+        self.batcher.interrupt()
+        self.join(timeout=timeout)
+
+    def run(self) -> None:
+        while True:
+            batch = self.batcher.next_batch(stop=self._retired)
+            if batch is None:
+                if not self._retired.is_set():
+                    self.core.finish()
+                return
+            if self._refused(batch):
+                continue
+            try:
+                self.core.run_batch(batch)
+            except InjectedFault as fault:
+                self.on_results(self.shard_id, fault.items, None, 0.0,
+                                f"{type(fault).__name__}: {fault}")
 
     def shutdown(self, timeout: Optional[float] = None) -> None:
         """Drain-and-stop: close the queue and join the thread."""
@@ -409,167 +546,67 @@ class ShardWorker(threading.Thread):
         return self.detector.export_state(arrays="copy")
 
 
-def _process_worker_main(state_payload: dict, inbox, outbox,
-                         fault_plan: Optional[dict] = None,
-                         deferred: bool = False) -> None:
-    """Child-process loop: rebuild the detector, then serve commands.
+def _process_worker_main(shard_id: int, state_payload: dict, inbox, outbox,
+                         fault_plan: Optional[dict], deferred: bool,
+                         deadline: float, deadline_policy: str) -> None:
+    """Child-process transport: rebuild the detector, then serve commands.
 
-    With ``deferred=False`` (sync service) the child runs learning inline: a
-    state restored from a deferred-mode checkpoint replays its in-flight
-    searches now, then stays sync.  With ``deferred=True`` the child runs
-    the request/publication protocol *over the IPC queues*: learn requests
-    emitted by the detector are shipped to the parent as ``("learn", gid,
-    grid, requests)`` groups (everything JSON round-trippable), the parent
-    evaluates them on the shared :class:`LearningCoordinator` pool, and the
-    publications come back through the inbox as ``("publications", gid,
-    payloads)`` — applied here in group order at the detector's
-    deterministic apply points, so process-shard async decisions are
-    identical to sync ones.
+    The child runs the same :class:`ShardCore` as the thread transport.
+    Points arrive with their ``enqueued_at`` stamps (``CLOCK_MONOTONIC`` is
+    shared by the processes of one host), so deadline shedding happens where
+    scoring happens.  With ``deferred=False`` (sync service) learning runs
+    inline; with ``deferred=True`` the core learns through an
+    :class:`_InboxPort`, and publications are applied in group order at the
+    detector's deterministic apply points, so process-shard async decisions
+    are identical to sync ones.
     """
-    import os
-    from collections import deque
-
-    from ..learning.requests import LearnPublication
-    from .learning import _grid_payload
-
     detector = SPOT.from_state(state_payload)
-    detector.set_deferred_learning(bool(deferred))
-    if not deferred and detector.pending_learn_requests:
-        detector.resolve_pending_learns()
-    faults = FaultInjector(FaultPlan.from_dict(fault_plan)) \
-        if fault_plan else None
-    #: Commands that arrived on the inbox while blocked for publications;
-    #: replayed (in order) before anything newly read.
-    backlog: "deque" = deque()
-    sent: dict = {}      # request_id -> group id already shipped
-    received: dict = {}  # group id -> publication payloads (None = failed)
-    next_gid = [0]
+    detector.set_deferred_learning(deferred)
+    port = _InboxPort(inbox, outbox)
 
-    def dispatch_new_learns() -> None:
-        new = [request for request in detector.pending_learn_requests
-               if request.request_id not in sent]
-        if not new:
-            return
-        gid = next_gid[0]
-        next_gid[0] += 1
-        outbox.put(("learn", gid, _grid_payload(detector.grid),
-                    [request.to_dict() for request in new]))
-        for request in new:
-            sent[request.request_id] = gid
+    def emit(items, results, busy, error, shed=False) -> None:
+        outbox.put(("results", [item.seq for item in items], results, busy,
+                    error, shed))
 
-    def resolve_pending_learns() -> None:
-        while True:
-            pending = detector.pending_learn_requests
-            if not pending:
-                return
-            gid = sent.get(pending[0].request_id)
-            if gid is None:
-                dispatch_new_learns()
-                gid = sent[pending[0].request_id]
-            while gid not in received:
-                # Only publications unblock the detector; any other command
-                # the parent pipelined behind them waits in the backlog.
-                message = inbox.get(timeout=ShardWorker.LEARN_TIMEOUT)
-                if message[0] == "publications":
-                    received[message[1]] = message[2]
-                else:
-                    backlog.append(message)
-            payloads = received.pop(gid)
-            if payloads is None:
-                raise ConfigurationError(
-                    "the learning coordinator failed to evaluate a "
-                    "request group")
-            for payload in payloads:
-                detector.apply_learn_publication(
-                    LearnPublication.from_dict(payload))
-            for request_id in [rid for rid, g in sent.items() if g == gid]:
-                sent.pop(request_id, None)
-
+    core = ShardCore(shard_id, detector, emit, port if deferred else None,
+                     faults=FaultInjector(FaultPlan.from_dict(fault_plan))
+                     if fault_plan else None,
+                     deadline=deadline, deadline_policy=deadline_policy)
     while True:
-        command = backlog.popleft() if backlog else inbox.get()
+        command = port.next_command()
         kind = command[0]
-        if kind == "publications":
-            # A search finished while this shard sat idle between batches;
-            # bank it for the resolve that will eventually need it.
-            received[command[1]] = command[2]
-        elif kind == "batch":
-            seqs, values = command[1], command[2]
-            if faults is not None:
-                stall = faults.stall_seconds(seqs)
-                if stall > 0.0:
-                    time.sleep(stall)
-                consume = faults.crash_consume(seqs)
-                if consume is not None:
-                    # A *hard* crash: commit a prefix, then kill the process
-                    # without a reply, so the parent sees a dead child with
-                    # the whole batch in flight (the supervisor's worst case).
-                    try:
-                        detector.process_batch(values[:consume])
-                    except Exception:
-                        pass
-                    outbox.close()
-                    os._exit(23)
-            # The same offset loop as the thread worker: score up to the
-            # next apply point, reply with the chunk immediately (the
-            # parent delivers per-seq, so partial replies are fine), apply
-            # due publications, continue.  Sync mode never stops early, so
-            # the loop degenerates to the historical one-reply path.
-            offset = 0
-            while offset < len(seqs):
-                try:
-                    resolve_pending_learns()
-                except Exception as exc:
-                    outbox.put(("results", seqs[offset:], None, 0.0,
-                                f"{type(exc).__name__}: {exc}"))
-                    break
-                started = time.perf_counter()
-                try:
-                    results = detector.process_batch(values[offset:])
-                except Exception as exc:
-                    outbox.put(("results", seqs[offset:], None,
-                                time.perf_counter() - started,
-                                f"{type(exc).__name__}: {exc}"))
-                    break
-                busy = time.perf_counter() - started
-                consumed = len(results)
-                if consumed == 0:
-                    outbox.put(("results", seqs[offset:], None, busy,
-                                "detector made no progress on a non-empty "
-                                "batch"))
-                    break
-                outbox.put(("results", seqs[offset:offset + consumed],
-                            results, busy, None))
-                offset += consumed
-                dispatch_new_learns()
+        if kind == "batch":
+            try:
+                core.run_batch(command[1])
+            except InjectedFault:
+                # A *hard* crash: the torn prefix is committed; kill the
+                # process without a reply, so the parent sees a dead child
+                # with the whole batch in flight (the supervisor's worst
+                # case).
+                outbox.close()
+                os._exit(23)
         elif kind == "export":
             # "copy" arrays pickle across the pipe as independent buffers —
             # far cheaper than the per-element list payload of "json" mode.
             outbox.put(("state", detector.export_state(arrays="copy")))
         elif kind == "stop":
-            if deferred and detector.pending_learn_requests:
-                # Graceful shutdown mirrors the thread worker: apply any
-                # still-outstanding publication so the stopped fleet holds
-                # the same SSTs an uninterrupted synchronous run would.
-                try:
-                    resolve_pending_learns()
-                except Exception as exc:
-                    outbox.put(("results", [], None, 0.0,
-                                f"final learn resolution failed: "
-                                f"{type(exc).__name__}: {exc}"))
+            error = core.finish()
+            if error is not None:
+                emit([], None, 0.0, f"final learn resolution failed: "
+                                    f"{type(error).__name__}: {error}")
             outbox.put(("stopped",))
             return
 
 
-class ProcessShardWorker:
-    """Process flavour: the shard's detector lives in a child OS process.
+class ProcessShardWorker(_ShardTransport):
+    """Process transport: the shard's core and detector live in a child.
 
     A feeder thread pulls coalesced batches off the shard's
-    :class:`MicroBatcher` and ships ``(seq, values)`` pairs to the child; a
+    :class:`MicroBatcher` and ships the :class:`BatchItem`s to the child; a
     collector thread correlates the child's replies back to the original
-    :class:`BatchItem` bookkeeping and invokes the shared ``on_results``
-    callback.  Detection results cross the process boundary as pickled
-    :class:`DetectionResult` objects, so downstream consumers see exactly
-    what the thread flavour delivers.
+    items and invokes the shared ``on_results`` callback.  Detection results
+    cross the process boundary as pickled :class:`DetectionResult` objects,
+    so downstream consumers see exactly what the thread transport delivers.
 
     Queue operations toward the child go through a bounded
     retry-with-backoff loop (:class:`~repro.service.faults.RetryPolicy`), so
@@ -585,22 +622,13 @@ class ProcessShardWorker:
                  retry_policy: Optional[RetryPolicy] = None,
                  on_ipc_retry: Optional[Callable[[int], None]] = None,
                  learning: Optional[LearningCoordinator] = None,
-                 tracer=None, recorder=None) -> None:
+                 tracer=None) -> None:
         import multiprocessing
 
-        if deadline_policy not in DEADLINE_POLICIES:
-            raise ConfigurationError(
-                f"deadline_policy must be one of {DEADLINE_POLICIES}, "
-                f"got {deadline_policy!r}")
         self.shard_id = shard_id
         self.batcher = batcher
         self.on_results = on_results
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # Process shards record on the parent side only (the delivery path
-        # runs there); the child scores, the parent stamps the ring.
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.deadline = deadline
-        self.deadline_policy = deadline_policy
         self.quarantine_on_failure = quarantine_on_failure
         self.retry_policy = retry_policy if retry_policy is not None \
             else RetryPolicy()
@@ -619,10 +647,10 @@ class ProcessShardWorker:
         self._outbox = context.Queue()
         self._process = context.Process(
             target=_process_worker_main,
-            args=(detector.export_state(arrays="copy"), self._inbox,
+            args=(shard_id, detector.export_state(arrays="copy"), self._inbox,
                   self._outbox,
                   fault_plan.to_dict() if fault_plan is not None else None,
-                  learning is not None),
+                  learning is not None, deadline, deadline_policy),
             daemon=True,
             name=f"spot-shard-{shard_id}",
         )
@@ -694,22 +722,8 @@ class ProcessShardWorker:
     # ------------------------------------------------------------------ #
     # Plumbing threads
     # ------------------------------------------------------------------ #
-    def _shed_overdue(self, batch: List[BatchItem]) -> List[BatchItem]:
-        if self.deadline <= 0.0 or self.deadline_policy != "shed":
-            return batch
-        now = time.monotonic()
-        live = [item for item in batch
-                if now - item.enqueued_at <= self.deadline]
-        if len(live) < len(batch):
-            overdue = [item for item in batch
-                       if now - item.enqueued_at > self.deadline]
-            self.on_results(self.shard_id, overdue, None, 0.0, None,
-                            shed=True)
-        return live
-
     def _ship(self, batch: List[BatchItem]) -> None:
         seqs = [item.seq for item in batch]
-        values = [item.values for item in batch]
         if self.tracer.enabled:
             # The scoring itself happens in the child process; the parent
             # traces the hand-off (the IPC retry events ride on the
@@ -722,7 +736,7 @@ class ProcessShardWorker:
             if self.faults is not None and self.faults.ipc_should_fail(seqs):
                 raise TransientIPCError(
                     f"injected inbox failure at seq {seqs[0]}")
-            self._inbox.put(("batch", seqs, values))
+            self._inbox.put(("batch", batch))
 
         def count_retry(attempt_number: int, exc: BaseException) -> None:
             if self.on_ipc_retry is not None:
@@ -737,20 +751,7 @@ class ProcessShardWorker:
             batch = self.batcher.next_batch(stop=self._retired)
             if batch is None:
                 return
-            if self.failure is not None:
-                if not self.quarantine_on_failure:
-                    # Retiring: hand the popped batch back for the successor.
-                    self.batcher.requeue(batch)
-                    return
-                # Quarantine, mirroring the thread flavour: once the child
-                # reported a failure (or died) its summaries cannot be
-                # trusted, so later batches are rejected in the parent.
-                self.on_results(self.shard_id, batch, None, 0.0,
-                                f"shard quarantined after earlier failure: "
-                                f"{self.failure}")
-                continue
-            batch = self._shed_overdue(batch)
-            if not batch:
+            if self._refused(batch):
                 continue
             with self._pending_lock:
                 for item in batch:
@@ -798,22 +799,21 @@ class ProcessShardWorker:
                     return
             kind = message[0]
             if kind == "results":
-                _, seqs, results, busy, error = message
+                _, seqs, results, busy, error, shed = message
                 with self._pending_lock:
                     items = [self._pending.pop(seq) for seq in seqs]
                 if error is not None:
                     self.failure = ConfigurationError(
                         f"shard {self.shard_id} worker failed: {error}")
                     if not self.quarantine_on_failure:
-                        # Supervised: stop both plumbing threads so the
-                        # supervisor can terminate the child and replace the
-                        # whole worker from the last checkpoint.
+                        # Supervised: stop both plumbing threads (this loop
+                        # ends at its next check) so the supervisor can
+                        # terminate the child and replace the whole worker
+                        # from the last checkpoint.
                         self._retired.set()
                         self.batcher.interrupt()
-                        self.on_results(self.shard_id, items, results, busy,
-                                        error)
-                        return
-                self.on_results(self.shard_id, items, results, busy, error)
+                self.on_results(self.shard_id, items, results, busy, error,
+                                shed=shed)
             elif kind == "learn":
                 self._handle_learn(message[1], message[2], message[3])
             elif kind == "state":
@@ -828,12 +828,10 @@ class ProcessShardWorker:
 
         The submit + wait runs on its own daemon thread so the collector
         keeps delivering results while a MOGA search is in flight — exactly
-        the latency-hiding the thread flavour gets from deferred learning.
+        the latency-hiding the thread transport gets from deferred learning.
         The reply (``("publications", gid, payloads)``, with ``None``
         signalling a failed evaluation) goes back through the child's inbox.
         """
-        from .learning import _grid_from_payload
-
         def evaluate() -> None:
             try:
                 if self.learning is None:
@@ -844,7 +842,7 @@ class ProcessShardWorker:
                 requests = [request_from_dict(payload)
                             for payload in request_payloads]
                 ticket = self.learning.submit(self.shard_id, grid, requests)
-                publications = ticket.wait(timeout=ShardWorker.LEARN_TIMEOUT)
+                publications = ticket.wait(timeout=LEARN_TIMEOUT)
                 reply = [publication.to_dict()
                          for publication in publications]
             except Exception:

@@ -416,13 +416,14 @@ class TestPoisonQuarantine:
 # Deadlines: shed and degrade
 # --------------------------------------------------------------------- #
 class TestDeadlines:
+    @pytest.mark.parametrize("worker_mode", ["thread", "process"])
     def test_stall_plus_deadline_sheds_and_survivors_match_reference(
-            self, prototype, tenant_workload):
+            self, prototype, tenant_workload, worker_mode):
         plan = FaultPlan(stall_points=((120, 0.08),), seed=13)
         service = _serve(prototype, tenant_workload.detection,
                          n_shards=2, max_batch=64, supervise=True,
                          deadline=0.025, deadline_policy="shed",
-                         fault_plan=plan)
+                         fault_plan=plan, worker_mode=worker_mode)
         results = service.results()
         assert len(results) == len(tenant_workload.detection)
         shed = [r for r in results if r.outcome == "shed"]
